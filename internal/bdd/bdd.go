@@ -64,10 +64,13 @@ const (
 // caches. The unique table doubles past 75% load; the lossy computed caches
 // double alongside it (until the cap) so their hit rate keeps up with the
 // node count, exactly the design of classic BDD packages (BuDDy, CUDD).
+// The binary-op cache has one slot per unique-table bucket and the
+// complement cache a quarter of that: a built table keeps its caches
+// alive, so they are sized to the work, not oversized up front.
 const (
 	initialBuckets  = 1 << 10
-	initialOpCache  = 1 << 12
-	initialNotCache = 1 << 10
+	initialOpCache  = 1 << 10
+	initialNotCache = 1 << 8
 	maxCacheSize    = 1 << 22
 )
 
@@ -612,9 +615,9 @@ func (t *Table) Eval(f Ref, assignment []byte) bool {
 }
 
 // ClearCaches drops the operation memo tables (but not the hash-cons table,
-// which canonicity requires). Long-running incremental-update loops call this
-// periodically to bound memory. The direct-mapped arrays are zeroed in place;
-// their size is already capped at maxCacheSize.
+// which canonicity requires). The direct-mapped arrays are zeroed in place,
+// so this frees no memory: their size follows the unique table (1:1 for
+// binary ops, 1:4 for complements) up to maxCacheSize.
 func (t *Table) ClearCaches() {
 	clear(t.opKeys)
 	clear(t.opVals)

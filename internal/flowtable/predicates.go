@@ -7,10 +7,26 @@
 //
 // where P_x^in / P_y^out are the in/out-bound ACL predicates and P_y^fwd is
 // the set of headers the prioritized forwarding table sends to port y.
+//
+// P_y^fwd depends on the input port only through rules that match on it.
+// TransferFuncs therefore scans each switch's rules once, in match order,
+// and cuts the order into bands: every in-port rule opens a new band and
+// records the shared remaining set (headers no higher shared rule claims)
+// at that point. The shared rules (InPort == 0) are scanned exactly as a
+// single-port scan would, collecting per-band guards and drops. Input port
+// x then folds the bands in order, keeping X, the union of the port-x rule
+// matches seen so far: each band's guards and drops join as g ∧ ¬X, a
+// port-x rule claims rem ∧ match ∧ ¬X, and the unmatched set is
+// remaining ∧ ¬X. This is exact: in a scan of port x alone, a shared rule
+// claims its shared hit minus the port-x matches ranked above it, which is
+// what the fold computes, and because BDDs are hash-consed the guards are
+// the very Refs the per-port scan produced.
 
 package flowtable
 
 import (
+	"sort"
+
 	"veridp/internal/bdd"
 	"veridp/internal/header"
 	"veridp/internal/topo"
@@ -61,14 +77,7 @@ func (c *SwitchConfig) Forward(in topo.PortID, h header.Header) (topo.PortID, *h
 	if out == topo.DropPort {
 		return topo.DropPort, nil
 	}
-	valid := false
-	for _, p := range c.Ports {
-		if p == out {
-			valid = true
-			break
-		}
-	}
-	if !valid {
+	if !hasPort(c.Ports, out) {
 		return topo.DropPort, nil
 	}
 	rw := r.Rewrite
@@ -87,25 +96,6 @@ func (c *SwitchConfig) inPredicate(s *header.Space, x topo.PortID) bdd.Ref {
 		return acl.Predicate(s)
 	}
 	return s.All()
-}
-
-// outPredicate returns P_y^out.
-func (c *SwitchConfig) outPredicate(s *header.Space, y topo.PortID) bdd.Ref {
-	if acl, ok := c.OutACL[y]; ok {
-		return acl.Predicate(s)
-	}
-	return s.All()
-}
-
-// usesInPort reports whether any rule constrains the input port, in which
-// case forwarding predicates differ per input port.
-func (c *SwitchConfig) usesInPort() bool {
-	for _, r := range c.Table.Rules() {
-		if r.Match.InPort != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ForwardPredicates computes P_y^fwd for every output port y, including ⊥,
@@ -166,128 +156,257 @@ type TransferEntry struct {
 // without rewrites it degenerates to exactly one nil-rewrite entry per
 // pair, guard equal to the §4.1 transfer predicate. Out-bound ACLs are
 // evaluated on the post-rewrite header via preimages.
+//
+// The priority scan runs once per switch (see bandedScan); each input port
+// then folds its own in-port rules into the shared result and adds its
+// in-ACL term.
 func (c *SwitchConfig) TransferFuncs(s *header.Space) map[PortPair][]TransferEntry {
 	out := make(map[PortPair][]TransferEntry, len(c.Ports)*(len(c.Ports)+1))
-	addEntry := func(pp PortPair, guard bdd.Ref, rw *header.Rewrite) {
-		if guard == bdd.False {
-			return
+	// Buckets are distinct (output, rewrite) pairs, so each entry is new.
+	add := func(pp PortPair, guard bdd.Ref, rw *header.Rewrite) {
+		if guard != bdd.False {
+			out[pp] = append(out[pp], TransferEntry{Guard: guard, Rewrite: rw})
 		}
-		for i := range out[pp] {
-			if out[pp][i].Rewrite.Equal(rw) {
-				out[pp][i].Guard = s.T.Or(out[pp][i].Guard, guard)
-				return
-			}
-		}
-		out[pp] = append(out[pp], TransferEntry{Guard: guard, Rewrite: rw})
 	}
-
-	// The expensive priority scan is input-port independent unless some
-	// rule matches on the input port; compute it once in that case and
-	// specialize per port only by the (cheap) in-ACL predicate.
-	perInput := c.usesInPort()
-	var sharedFlat []struct {
-		y     topo.PortID
-		guard bdd.Ref
-		rw    *header.Rewrite
-	}
-	var sharedDrop bdd.Ref
-	if !perInput {
-		sharedFlat, sharedDrop = c.scanRules(s, 0)
-	}
-
+	sc := c.scan(s)
 	for _, x := range c.Ports {
-		flat, drop := sharedFlat, sharedDrop
-		if perInput {
-			flat, drop = c.scanRules(s, x)
-		}
+		flat, drop := sc.fold(s.T, x)
 		pin := c.inPredicate(s, x)
-		if pin == bdd.True {
-			for _, fe := range flat {
-				addEntry(PortPair{x, fe.y}, fe.guard, fe.rw)
-			}
-			addEntry(PortPair{x, topo.DropPort}, drop, nil)
-			continue
-		}
 		for _, fe := range flat {
-			addEntry(PortPair{x, fe.y}, s.T.And(pin, fe.guard), fe.rw)
+			add(PortPair{x, fe.y}, s.T.And(pin, fe.guard), fe.rw)
 		}
-		addEntry(PortPair{x, topo.DropPort},
-			s.T.Or(s.T.Not(pin), s.T.And(pin, drop)), nil)
+		add(PortPair{x, topo.DropPort}, s.T.Or(s.T.Not(pin), s.T.And(pin, drop)), nil)
 	}
 	return out
 }
 
-// scanRules runs the priority scan for packets arriving on inPort (0 when
-// no rule constrains the input port), without the in-ACL term. It returns
-// per-output guarded rewrites plus the drop guard.
-func (c *SwitchConfig) scanRules(s *header.Space, inPort topo.PortID) ([]struct {
-	y     topo.PortID
-	guard bdd.Ref
-	rw    *header.Rewrite
-}, bdd.Ref) {
-	type flatEntry = struct {
-		y     topo.PortID
-		guard bdd.Ref
-		rw    *header.Rewrite
-	}
-	var flat []flatEntry
-	drop := bdd.False
-	remaining := s.All()
-	outACLPred := map[topo.PortID]bdd.Ref{}
-	for _, r := range c.Table.Rules() {
-		if remaining == bdd.False {
-			break
-		}
-		if r.Match.InPort != 0 && r.Match.InPort != inPort {
-			continue
-		}
-		hit := s.T.And(remaining, r.Match.HeaderPredicate(s))
-		if hit == bdd.False {
-			continue
-		}
-		remaining = s.T.Diff(remaining, hit)
+// bucket is one (output port, rewrite) class of forwarding: every rule
+// sending to y with an equal rewrite feeds the same guard.
+type bucket struct {
+	y  topo.PortID
+	rw *header.Rewrite
+}
 
-		y := r.EffectiveOut()
-		if y != topo.DropPort && !validOut(c.Ports, y) {
-			y = topo.DropPort // nonexistent port: the packet drops
+// fwdEntry is a bucket's guard for one input port, before the in-ACL.
+type fwdEntry struct {
+	bucket
+	guard bdd.Ref
+}
+
+// bucketGuard is a guard contribution to the bucket at index b.
+type bucketGuard struct {
+	b     int
+	guard bdd.Ref
+}
+
+// band is one stretch of the match order: the in-port rule that opens it,
+// then the shared rules (InPort == 0) ranked below that rule and above the
+// next in-port rule. The leading band has no rule (inPort 0).
+type band struct {
+	inPort  topo.PortID
+	match   bdd.Ref // the rule's header match
+	hit     bdd.Ref // match ∧ the shared remaining set at the rule
+	b       int     // the rule's bucket; -1 when the rule drops
+	allowed bdd.Ref // headers the rule's out-ACL admits, before the rewrite
+
+	sums   []bucketGuard // per bucket, the union of the shared passes, in first-contribution order
+	passes []bucketGuard // every nonempty shared pass, in match order
+	drop   bdd.Ref       // the shared rules' drops, explicit and out-ACL
+}
+
+// bandedScan is the priority scan of one switch, shared by all its input
+// ports: the shared rules are scanned exactly once, and each in-port rule
+// only records where it sits.
+type bandedScan struct {
+	buckets   []bucket
+	bands     []band
+	remaining bdd.Ref // headers no shared rule matches
+}
+
+// bucketOf returns the index of bucket (y, rw), adding it when new.
+func (sc *bandedScan) bucketOf(y topo.PortID, rw *header.Rewrite) int {
+	for i, bk := range sc.buckets {
+		if bk.y == y && bk.rw.Equal(rw) {
+			return i
 		}
-		if y == topo.DropPort {
-			drop = s.T.Or(drop, hit)
-			continue
+	}
+	sc.buckets = append(sc.buckets, bucket{y, rw})
+	return len(sc.buckets) - 1
+}
+
+// scan walks the rules once in match order. Shared rules claim headers
+// from the shared remaining set and split into their bucket and the
+// drop guard; an in-port rule opens a new band.
+func (c *SwitchConfig) scan(s *header.Space) *bandedScan {
+	t := s.T
+	sc := &bandedScan{bands: []band{{drop: bdd.False}}, remaining: s.All()}
+	outACL := map[topo.PortID]bdd.Ref{}
+	// target returns r's bucket (-1: the packet drops) and the pre-rewrite
+	// headers its output port's out-ACL admits.
+	target := func(r *Rule) (int, bdd.Ref) {
+		y := r.EffectiveOut()
+		if y == topo.DropPort || !hasPort(c.Ports, y) {
+			return -1, bdd.False // a nonexistent port drops as well
 		}
 		rw := r.Rewrite
 		if rw.IsZero() {
 			rw = nil
 		}
-		pass := hit
+		allowed := bdd.True
 		if acl, ok := c.OutACL[y]; ok {
-			p, cached := outACLPred[y]
+			p, cached := outACL[y]
 			if !cached {
 				p = acl.Predicate(s)
-				outACLPred[y] = p
+				outACL[y] = p
 			}
-			allowed := s.Preimage(p, rw)
-			pass = s.T.And(hit, allowed)
-			drop = s.T.Or(drop, s.T.Diff(hit, allowed))
+			allowed = s.Preimage(p, rw)
 		}
-		// Merge into an existing (y, rw) bucket.
+		return sc.bucketOf(y, rw), allowed
+	}
+
+	for _, r := range c.Table.Rules() {
+		if sc.remaining == bdd.False {
+			break
+		}
+		if r.Match.InPort != 0 {
+			if !hasPort(c.Ports, r.Match.InPort) {
+				continue // no packet arrives on that port
+			}
+			m := r.Match.HeaderPredicate(s)
+			hit := t.And(sc.remaining, m)
+			if hit == bdd.False {
+				continue // shadowed by shared rules on every port
+			}
+			b, allowed := target(r)
+			sc.bands = append(sc.bands, band{
+				inPort: r.Match.InPort, match: m, hit: hit, b: b, allowed: allowed, drop: bdd.False,
+			})
+			continue
+		}
+		hit := t.And(sc.remaining, r.Match.HeaderPredicate(s))
+		if hit == bdd.False {
+			continue
+		}
+		sc.remaining = t.Diff(sc.remaining, hit)
+		bd := &sc.bands[len(sc.bands)-1]
+		b, allowed := target(r)
+		if b < 0 {
+			bd.drop = t.Or(bd.drop, hit)
+			continue
+		}
+		bd.drop = t.Or(bd.drop, t.Diff(hit, allowed))
+		pass := t.And(hit, allowed)
+		if pass == bdd.False {
+			continue
+		}
+		bd.passes = append(bd.passes, bucketGuard{b, pass})
 		merged := false
-		for i := range flat {
-			if flat[i].y == y && flat[i].rw.Equal(rw) {
-				flat[i].guard = s.T.Or(flat[i].guard, pass)
+		for i := range bd.sums {
+			if bd.sums[i].b == b {
+				bd.sums[i].guard = t.Or(bd.sums[i].guard, pass)
 				merged = true
 				break
 			}
 		}
-		if !merged && pass != bdd.False {
-			flat = append(flat, flatEntry{y: y, guard: pass, rw: rw})
+		if !merged {
+			bd.sums = append(bd.sums, bucketGuard{b, pass})
 		}
 	}
-	drop = s.T.Or(drop, remaining) // unmatched headers drop
+	return sc
+}
+
+// fold specializes the scan to packets arriving on x. It walks the bands
+// in order, keeping X, the union of the port-x rule matches seen so far:
+// a port-x rule claims rem ∧ match ∧ ¬X, a band's shared guards and drops
+// join as guard ∧ ¬X, and the unmatched set is remaining ∧ ¬X. It returns
+// the forwarding buckets, in the order a scan of port x alone would first
+// reach them, and the drop guard, all without the in-ACL term.
+func (sc *bandedScan) fold(t *bdd.Table, x topo.PortID) ([]fwdEntry, bdd.Ref) {
+	guards := make([]bdd.Ref, len(sc.buckets)) // False: not reached yet
+	var order []int
+	emit := func(b int, g bdd.Ref) {
+		if guards[b] == bdd.False {
+			order = append(order, b)
+		}
+		guards[b] = t.Or(guards[b], g)
+	}
+	shadow, open := bdd.False, bdd.True // X and ¬X
+	drop := bdd.False
+	var fresh []bucketGuard
+	for i := range sc.bands {
+		bd := &sc.bands[i]
+		if bd.inPort == x {
+			if hit := t.And(bd.hit, open); hit != bdd.False {
+				if bd.b < 0 {
+					drop = t.Or(drop, hit)
+				} else {
+					drop = t.Or(drop, t.Diff(hit, bd.allowed))
+					if pass := t.And(hit, bd.allowed); pass != bdd.False {
+						emit(bd.b, pass)
+					}
+				}
+			}
+			shadow = t.Or(shadow, bd.match)
+			open = t.Not(shadow)
+		}
+		drop = t.Or(drop, t.And(bd.drop, open))
+		fresh = fresh[:0]
+		for _, sm := range bd.sums {
+			g := t.And(sm.guard, open)
+			switch {
+			case g == bdd.False:
+			case guards[sm.b] != bdd.False:
+				guards[sm.b] = t.Or(guards[sm.b], g)
+			default:
+				fresh = append(fresh, bucketGuard{sm.b, g})
+			}
+		}
+		if shadow != bdd.False {
+			sc.reorder(t, bd, fresh, open)
+		}
+		for _, f := range fresh {
+			emit(f.b, f.guard)
+		}
+	}
+	drop = t.Or(drop, t.And(sc.remaining, open))
+
+	flat := make([]fwdEntry, len(order))
+	for i, b := range order {
+		flat[i] = fwdEntry{sc.buckets[b], guards[b]}
+	}
 	return flat, drop
 }
 
-func validOut(ports []topo.PortID, p topo.PortID) bool {
+// reorder puts the buckets a band first reaches for port x into the order
+// a port-x scan would reach them. The band's sums are in shared
+// first-contribution order, but X may cover a bucket's first contributor
+// so that a later rule introduces it. Only buckets with a common output
+// port need this: entries are ordered per port pair.
+func (sc *bandedScan) reorder(t *bdd.Table, bd *band, fresh []bucketGuard, open bdd.Ref) {
+	shared := false
+	for i := range fresh {
+		for j := i + 1; j < len(fresh); j++ {
+			shared = shared || sc.buckets[fresh[i].b].y == sc.buckets[fresh[j].b].y
+		}
+	}
+	if !shared {
+		return
+	}
+	// Every fresh bucket has a pass outside X: its band guard ∧ ¬X is not empty.
+	first := make(map[int]int, len(fresh)) // bucket → index of its first pass outside X
+	for _, f := range fresh {
+		for i, p := range bd.passes {
+			if p.b == f.b && t.And(p.guard, open) != bdd.False {
+				first[f.b] = i
+				break
+			}
+		}
+	}
+	sort.SliceStable(fresh, func(i, j int) bool { return first[fresh[i].b] < first[fresh[j].b] })
+}
+
+// hasPort reports whether p is one of ports.
+func hasPort(ports []topo.PortID, p topo.PortID) bool {
 	for _, q := range ports {
 		if q == p {
 			return true
@@ -297,44 +416,22 @@ func validOut(ports []topo.PortID, p topo.PortID) bool {
 }
 
 // TransferPredicates computes P_{x,y} for every input port x and output
-// port y ∈ Ports ∪ {⊥}, composing ACLs and forwarding per the §4.1
-// equations. This is the whole-switch computation used for initial
-// path-table construction; §4.4's incremental path goes through PrefixTree.
+// port y ∈ Ports ∪ {⊥}: the union of the pair's TransferFuncs guards. For
+// rewrite-free configurations this is exactly the §4.1 composition of
+// ACLs and forwarding; with rewrites, out-ACLs see the rewritten header,
+// as in Forward.
 func (c *SwitchConfig) TransferPredicates(s *header.Space) map[PortPair]bdd.Ref {
+	tf := c.TransferFuncs(s)
 	out := make(map[PortPair]bdd.Ref, len(c.Ports)*(len(c.Ports)+1))
-
-	// Forwarding predicates: shared across input ports unless some rule
-	// matches on the input port.
-	perInput := c.usesInPort()
-	var shared map[topo.PortID]bdd.Ref
-	if !perInput {
-		shared = c.ForwardPredicates(s, 0)
-	}
-
-	// Out-ACL predicates are input-independent; compute once.
-	outPred := make(map[topo.PortID]bdd.Ref, len(c.Ports))
-	for _, y := range c.Ports {
-		outPred[y] = c.outPredicate(s, y)
-	}
-
+	outs := append(append([]topo.PortID(nil), c.Ports...), topo.DropPort)
 	for _, x := range c.Ports {
-		fwd := shared
-		if perInput {
-			fwd = c.ForwardPredicates(s, x)
+		for _, y := range outs {
+			p := bdd.False
+			for _, te := range tf[PortPair{x, y}] {
+				p = s.T.Or(p, te.Guard)
+			}
+			out[PortPair{x, y}] = p
 		}
-		pin := c.inPredicate(s, x)
-
-		// Drop predicate accumulates its three causes.
-		drop := s.T.Not(pin)                                  // filtered by in-ACL
-		drop = s.T.Or(drop, s.T.And(pin, fwd[topo.DropPort])) // not forwarded
-
-		for _, y := range c.Ports {
-			pxy := s.T.And(pin, s.T.And(fwd[y], outPred[y]))
-			out[PortPair{x, y}] = pxy
-			blocked := s.T.And(fwd[y], s.T.Not(outPred[y])) // filtered by out-ACL
-			drop = s.T.Or(drop, s.T.And(pin, blocked))
-		}
-		out[PortPair{x, topo.DropPort}] = drop
 	}
 	return out
 }

@@ -289,3 +289,210 @@ func TestRuleToNonexistentPortDrops(t *testing.T) {
 		t.Fatal("rule to a nonexistent port should drop everything")
 	}
 }
+
+// referenceScan is the per-port priority scan TransferFuncs replaced, kept
+// as the differential oracle: it rescans every rule for packets arriving
+// on inPort, skipping other ports' in-port rules, and returns the
+// (output, rewrite) buckets in first-reached order plus the drop guard,
+// all without the in-ACL term.
+func referenceScan(c *SwitchConfig, s *header.Space, inPort topo.PortID) ([]fwdEntry, bdd.Ref) {
+	var flat []fwdEntry
+	drop := bdd.False
+	remaining := s.All()
+	outACLPred := map[topo.PortID]bdd.Ref{}
+	for _, r := range c.Table.Rules() {
+		if remaining == bdd.False {
+			break
+		}
+		if r.Match.InPort != 0 && r.Match.InPort != inPort {
+			continue
+		}
+		hit := s.T.And(remaining, r.Match.HeaderPredicate(s))
+		if hit == bdd.False {
+			continue
+		}
+		remaining = s.T.Diff(remaining, hit)
+
+		y := r.EffectiveOut()
+		if y != topo.DropPort && !hasPort(c.Ports, y) {
+			y = topo.DropPort // nonexistent port: the packet drops
+		}
+		if y == topo.DropPort {
+			drop = s.T.Or(drop, hit)
+			continue
+		}
+		rw := r.Rewrite
+		if rw.IsZero() {
+			rw = nil
+		}
+		pass := hit
+		if acl, ok := c.OutACL[y]; ok {
+			p, cached := outACLPred[y]
+			if !cached {
+				p = acl.Predicate(s)
+				outACLPred[y] = p
+			}
+			allowed := s.Preimage(p, rw)
+			pass = s.T.And(hit, allowed)
+			drop = s.T.Or(drop, s.T.Diff(hit, allowed))
+		}
+		merged := false
+		for i := range flat {
+			if flat[i].y == y && flat[i].rw.Equal(rw) {
+				flat[i].guard = s.T.Or(flat[i].guard, pass)
+				merged = true
+				break
+			}
+		}
+		if !merged && pass != bdd.False {
+			flat = append(flat, fwdEntry{bucket{y, rw}, pass})
+		}
+	}
+	drop = s.T.Or(drop, remaining) // unmatched headers drop
+	return flat, drop
+}
+
+// referenceTransferFuncs composes referenceScan for every input port with
+// that port's in-ACL, the way TransferFuncs composes its banded scan.
+func referenceTransferFuncs(c *SwitchConfig, s *header.Space) map[PortPair][]TransferEntry {
+	out := make(map[PortPair][]TransferEntry)
+	addEntry := func(pp PortPair, guard bdd.Ref, rw *header.Rewrite) {
+		if guard == bdd.False {
+			return
+		}
+		for i := range out[pp] {
+			if out[pp][i].Rewrite.Equal(rw) {
+				out[pp][i].Guard = s.T.Or(out[pp][i].Guard, guard)
+				return
+			}
+		}
+		out[pp] = append(out[pp], TransferEntry{Guard: guard, Rewrite: rw})
+	}
+	for _, x := range c.Ports {
+		flat, drop := referenceScan(c, s, x)
+		pin := c.inPredicate(s, x)
+		for _, fe := range flat {
+			addEntry(PortPair{x, fe.y}, s.T.And(pin, fe.guard), fe.rw)
+		}
+		addEntry(PortPair{x, topo.DropPort}, s.T.Or(s.T.Not(pin), s.T.And(pin, drop)), nil)
+	}
+	return out
+}
+
+// CheckTransferFuncsExact fails t unless c.TransferFuncs equals the
+// per-port reference scan pair by pair in s: the same guard Refs, equal
+// rewrites, in the same order. Exported for the environment tests in
+// package flowtable_test.
+func CheckTransferFuncsExact(t testing.TB, s *header.Space, c *SwitchConfig) {
+	t.Helper()
+	got := c.TransferFuncs(s)
+	want := referenceTransferFuncs(c, s)
+	if len(got) != len(want) {
+		t.Fatalf("TransferFuncs has %d pairs, reference %d", len(got), len(want))
+	}
+	for pp, we := range want {
+		ge := got[pp]
+		if len(ge) != len(we) {
+			t.Fatalf("pair %v: %d entries, reference %d", pp, len(ge), len(we))
+		}
+		for i := range we {
+			if ge[i].Guard != we[i].Guard || !ge[i].Rewrite.Equal(we[i].Rewrite) {
+				t.Fatalf("pair %v entry %d: got (guard %d, rewrite %v), reference (guard %d, rewrite %v)",
+					pp, i, ge[i].Guard, ge[i].Rewrite, we[i].Guard, we[i].Rewrite)
+			}
+		}
+	}
+}
+
+// TestTransferFuncsShadowedFirstContributor pins the one case where a
+// port's bucket order differs from the shared scan's: port 1's own rule
+// covers the first rule of bucket (2, A), so bucket (2, B) comes first for
+// port 1 while port 2 sees (2, A) first.
+func TestTransferFuncsShadowedFirstContributor(t *testing.T) {
+	s := header.NewSpace()
+	a := &header.Rewrite{SetDstPort: true, DstPort: 8080}
+	b := &header.Rewrite{SetDstPort: true, DstPort: 9090}
+	c := NewSwitchConfig([]topo.PortID{1, 2})
+	c.Table.Add(&Rule{Priority: 30, Match: Match{InPort: 1, DstPrefix: Prefix{ip("10.1.0.0"), 16}}, Action: ActOutput, OutPort: 2})
+	c.Table.Add(&Rule{Priority: 20, Match: Match{DstPrefix: Prefix{ip("10.1.0.0"), 16}}, Action: ActOutput, OutPort: 2, Rewrite: a})
+	c.Table.Add(&Rule{Priority: 10, Match: Match{DstPrefix: Prefix{ip("10.0.0.0"), 8}}, Action: ActOutput, OutPort: 2, Rewrite: b})
+	c.Table.Add(&Rule{Priority: 5, Match: Match{DstPrefix: Prefix{ip("11.0.0.0"), 8}}, Action: ActOutput, OutPort: 2, Rewrite: a})
+	CheckTransferFuncsExact(t, s, c)
+
+	tf := c.TransferFuncs(s)
+	port1 := tf[PortPair{1, 2}]
+	if len(port1) != 3 || port1[0].Rewrite != nil || !port1[1].Rewrite.Equal(b) || !port1[2].Rewrite.Equal(a) {
+		t.Fatalf("port 1 entries %v, want nil, B, A", port1)
+	}
+	port2 := tf[PortPair{2, 2}]
+	if len(port2) != 2 || !port2[0].Rewrite.Equal(a) || !port2[1].Rewrite.Equal(b) {
+		t.Fatalf("port 2 entries %v, want A, B", port2)
+	}
+}
+
+// TestTransferFuncsMatchReferenceRandom runs the differential check on
+// seeded random configurations: in-port rules above, between and below
+// shared rules, some naming ports the switch lacks; in-ACLs; out-ACLs that
+// see rewritten headers; drops; outputs to nonexistent ports. Matches come
+// from a small pool of nested prefixes and rules favor one output port
+// with a few rewrites, so rules overlap, share buckets, and in-port rules
+// often cover a bucket's first shared contributor.
+func TestTransferFuncsMatchReferenceRandom(t *testing.T) {
+	s := header.NewSpace()
+	rng := rand.New(rand.NewSource(12))
+	prefixes := []Prefix{{ip("10.0.0.0"), 8}, {ip("10.1.0.0"), 16}, {ip("10.1.2.0"), 24}, {ip("10.2.0.0"), 16}, {ip("11.0.0.0"), 8}, {ip("11.1.0.0"), 16}}
+	broad := []Prefix{{}, {ip("10.0.0.0"), 8}, {ip("10.1.0.0"), 16}, {ip("11.0.0.0"), 8}}
+	rewrites := []*header.Rewrite{nil,
+		{SetDstIP: true, DstIP: ip("192.168.0.1")},
+		{SetDstIP: true, DstIP: ip("192.168.0.2")},
+		{SetDstPort: true, DstPort: 8080},
+	}
+	randMatch := func() Match {
+		m := Match{DstPrefix: prefixes[rng.Intn(len(prefixes))]}
+		if rng.Intn(4) == 0 {
+			m.HasDst, m.DstPort = true, []uint16{22, 80}[rng.Intn(2)]
+		}
+		if rng.Intn(6) == 0 {
+			m.HasProto, m.Proto = true, header.ProtoUDP
+		}
+		return m
+	}
+	for trial := 0; trial < 2000; trial++ {
+		nPorts := 2 + rng.Intn(3)
+		ports := make([]topo.PortID, nPorts)
+		for i := range ports {
+			ports[i] = topo.PortID(i + 1)
+		}
+		c := NewSwitchConfig(ports)
+		for i, n := 0, 10+rng.Intn(20); i < n; i++ {
+			r := Rule{Priority: uint16(rng.Intn(40)), Match: randMatch()}
+			if rng.Intn(5) == 0 {
+				r.Match = Match{InPort: topo.PortID(1 + rng.Intn(nPorts+1)), DstPrefix: broad[rng.Intn(len(broad))]}
+				if rng.Intn(2) == 0 {
+					r.Priority = 40 // above every shared rule
+				}
+			}
+			if rng.Intn(6) == 0 {
+				r.Action = ActDrop
+			} else {
+				r.Action = ActOutput
+				r.OutPort = topo.PortID(1 + rng.Intn(nPorts+1)) // sometimes a nonexistent port
+				if rng.Intn(2) == 0 {
+					r.OutPort = 1
+				}
+				r.Rewrite = rewrites[rng.Intn(len(rewrites))]
+			}
+			c.Table.Add(&r)
+		}
+		if rng.Intn(2) == 0 {
+			c.InACL[topo.PortID(1+rng.Intn(nPorts))] = ACL{{Match: randMatch(), Permit: false}}
+		}
+		if rng.Intn(2) == 0 {
+			c.OutACL[topo.PortID(1+rng.Intn(nPorts))] = ACL{
+				{Match: Match{DstPrefix: Prefix{ip("192.168.0.1"), 32}}, Permit: false},
+				{Match: randMatch(), Permit: rng.Intn(2) == 0},
+			}
+		}
+		CheckTransferFuncsExact(t, s, c)
+	}
+}
