@@ -4,7 +4,8 @@
 // suite and printed in full by cmd/veridp-bench. Mapping:
 //
 //	Table 2  → BenchmarkPathTableConstruction* (construction time; the
-//	           entry/path counts print as custom metrics)
+//	           entry/path counts print as custom metrics; *Cold builds
+//	           in a fresh Space, as a monitor start does)
 //	Figure 6 → BenchmarkPathLookup* (per-pair path list scan cost; the
 //	           full distribution prints via cmd/veridp-bench -experiment fig6)
 //	Figure 12→ BenchmarkFalseNegativeSweep (FNR as custom metrics)
@@ -79,6 +80,26 @@ func BenchmarkPathTableConstructionStanford(b *testing.B)  { benchConstruction(b
 func BenchmarkPathTableConstructionInternet2(b *testing.B) { benchConstruction(b, "internet2") }
 func BenchmarkPathTableConstructionFT4(b *testing.B)       { benchConstruction(b, "ft4") }
 func BenchmarkPathTableConstructionFT6(b *testing.B)       { benchConstruction(b, "ft6") }
+
+// benchColdConstruction times the build veridp.NewMonitor and every
+// ProxyHooks rebuild pay: each iteration starts from a fresh Space, so no
+// BDD node or cache entry survives from the previous one. The warm
+// benchmarks above reuse the environment's Space. nodes/op is the BDD
+// table size the build leaves behind.
+func benchColdConstruction(b *testing.B, name string) {
+	e := benchEnvs(b)[name]
+	nodes := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := header.NewSpace()
+		(&core.Builder{Net: e.Net, Space: s, Params: e.Params, Configs: e.Ctrl.Logical()}).Build()
+		nodes = s.T.Size()
+	}
+	b.ReportMetric(float64(nodes), "nodes/op")
+}
+
+func BenchmarkPathTableConstructionStanfordCold(b *testing.B)  { benchColdConstruction(b, "stanford") }
+func BenchmarkPathTableConstructionInternet2Cold(b *testing.B) { benchColdConstruction(b, "internet2") }
 
 // --- Figure 13: verification time per tag report -------------------------
 

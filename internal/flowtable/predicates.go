@@ -8,19 +8,30 @@
 // where P_x^in / P_y^out are the in/out-bound ACL predicates and P_y^fwd is
 // the set of headers the prioritized forwarding table sends to port y.
 //
+// A rule claims the headers it matches that no higher-priority rule
+// matches. Rather than carry that complement as a running set through
+// the scan, each rule claims its match minus only the higher rules that
+// overlap it, the rule-dependency view of Veriflow and NetPlumber:
+//
+//	m_k ∧ ¬∪_{j<k} m_j  =  m_k ∧ ¬∪_{j<k, m_j ∩ m_k ≠ ∅} m_j
+//
+// Overlap is decided on the match fields without BDDs (prefixes overlap
+// when one nests in the other, exact fields when either is a wildcard or
+// both are equal), and candidates come from an index over destination
+// prefixes, so a rule touches only the rules it depends on. BDDs are
+// canonical, so every claim is the very Ref a running-set scan gives.
+//
 // P_y^fwd depends on the input port only through rules that match on it.
 // TransferFuncs therefore scans each switch's rules once, in match order,
 // and cuts the order into bands: every in-port rule opens a new band and
-// records the shared remaining set (headers no higher shared rule claims)
-// at that point. The shared rules (InPort == 0) are scanned exactly as a
-// single-port scan would, collecting per-band guards and drops. Input port
-// x then folds the bands in order, keeping X, the union of the port-x rule
-// matches seen so far: each band's guards and drops join as g ∧ ¬X, a
-// port-x rule claims rem ∧ match ∧ ¬X, and the unmatched set is
-// remaining ∧ ¬X. This is exact: in a scan of port x alone, a shared rule
-// claims its shared hit minus the port-x matches ranked above it, which is
-// what the fold computes, and because BDDs are hash-consed the guards are
-// the very Refs the per-port scan produced.
+// records its claim against the shared rules (InPort == 0) above it. The
+// shared rules are claimed against each other alone, collecting per-band
+// guards and drops. Input port x then folds the bands in order, keeping
+// X, the union of the port-x rule matches seen so far: each band's guards
+// and drops join as g ∧ ¬X, a port-x rule claims its band claim ∧ ¬X,
+// and the unmatched set is remaining ∧ ¬X. This is exact: in a scan of
+// port x alone, a shared rule claims its shared claim minus the port-x
+// matches ranked above it, which is what the fold computes.
 
 package flowtable
 
@@ -99,40 +110,21 @@ func (c *SwitchConfig) inPredicate(s *header.Space, x topo.PortID) bdd.Ref {
 }
 
 // ForwardPredicates computes P_y^fwd for every output port y, including ⊥,
-// for packets arriving on inPort (pass 0 when no rule matches on input
-// port). The scan walks rules in match order, tracking the header set not
-// yet claimed by a higher-priority rule, so overlapping priorities resolve
-// exactly as Lookup does.
+// for packets arriving on inPort (pass 0 to see only the rules that match
+// on no input port): the forwarding table's partition of the header space
+// with ACLs left out. Overlapping priorities resolve exactly as Lookup
+// does; it is the TransferFuncs scan of the bare table.
 func (c *SwitchConfig) ForwardPredicates(s *header.Space, inPort topo.PortID) map[topo.PortID]bdd.Ref {
 	preds := make(map[topo.PortID]bdd.Ref, len(c.Ports)+1)
 	for _, p := range c.Ports {
 		preds[p] = s.None()
 	}
-	preds[topo.DropPort] = s.None()
-	remaining := s.All()
-	for _, r := range c.Table.Rules() {
-		if remaining == bdd.False {
-			break
-		}
-		if r.Match.InPort != 0 && r.Match.InPort != inPort {
-			continue
-		}
-		m := r.Match.HeaderPredicate(s)
-		hit := s.T.And(remaining, m)
-		if hit == bdd.False {
-			continue
-		}
-		out := r.EffectiveOut()
-		if _, known := preds[out]; !known {
-			// Rule points at a nonexistent port: the packet vanishes,
-			// which the consistency model treats as a drop.
-			out = topo.DropPort
-		}
-		preds[out] = s.T.Or(preds[out], hit)
-		remaining = s.T.Diff(remaining, hit)
+	bare := &SwitchConfig{Ports: c.Ports, Table: c.Table}
+	flat, drop := bare.scan(s).fold(s.T, inPort)
+	for _, fe := range flat {
+		preds[fe.y] = s.T.Or(preds[fe.y], fe.guard)
 	}
-	// Unmatched headers drop: P_⊥^fwd = ¬(∨_y P_y^fwd).
-	preds[topo.DropPort] = s.T.Or(preds[topo.DropPort], remaining)
+	preds[topo.DropPort] = drop
 	return preds
 }
 
@@ -205,7 +197,7 @@ type bucketGuard struct {
 type band struct {
 	inPort  topo.PortID
 	match   bdd.Ref // the rule's header match
-	hit     bdd.Ref // match ∧ the shared remaining set at the rule
+	hit     bdd.Ref // the rule's claim against the shared rules above it
 	b       int     // the rule's bucket; -1 when the rule drops
 	allowed bdd.Ref // headers the rule's out-ACL admits, before the rewrite
 
@@ -234,12 +226,14 @@ func (sc *bandedScan) bucketOf(y topo.PortID, rw *header.Rewrite) int {
 	return len(sc.buckets) - 1
 }
 
-// scan walks the rules once in match order. Shared rules claim headers
-// from the shared remaining set and split into their bucket and the
-// drop guard; an in-port rule opens a new band.
+// scan walks the rules once in match order. Every rule claims its match
+// minus the earlier shared matches that overlap it; a shared rule splits
+// its claim into its bucket and the drop guard, and an in-port rule opens
+// a new band. Guards are formed once per band, as unions of the pieces
+// the band collected, so no BDD grows rule by rule.
 func (c *SwitchConfig) scan(s *header.Space) *bandedScan {
 	t := s.T
-	sc := &bandedScan{bands: []band{{drop: bdd.False}}, remaining: s.All()}
+	sc := &bandedScan{bands: []band{{}}}
 	outACL := map[topo.PortID]bdd.Ref{}
 	// target returns r's bucket (-1: the packet drops) and the pre-rewrite
 	// headers its output port's out-ACL admits.
@@ -264,60 +258,95 @@ func (c *SwitchConfig) scan(s *header.Space) *bandedScan {
 		return sc.bucketOf(y, rw), allowed
 	}
 
-	for _, r := range c.Table.Rules() {
-		if sc.remaining == bdd.False {
-			break
-		}
-		if r.Match.InPort != 0 {
-			if !hasPort(c.Ports, r.Match.InPort) {
-				continue // no packet arrives on that port
-			}
-			m := r.Match.HeaderPredicate(s)
-			hit := t.And(sc.remaining, m)
-			if hit == bdd.False {
-				continue // shadowed by shared rules on every port
-			}
-			b, allowed := target(r)
-			sc.bands = append(sc.bands, band{
-				inPort: r.Match.InPort, match: m, hit: hit, b: b, allowed: allowed, drop: bdd.False,
-			})
-			continue
-		}
-		hit := t.And(sc.remaining, r.Match.HeaderPredicate(s))
-		if hit == bdd.False {
-			continue
-		}
-		sc.remaining = t.Diff(sc.remaining, hit)
+	rules := c.Table.Rules()
+	cl := newClaims(rules)
+	var drops, all []bdd.Ref // the current band's drop pieces; every band's guards and drops
+	closeBand := func() {
 		bd := &sc.bands[len(sc.bands)-1]
+		bd.sums = sumPasses(t, bd.passes)
+		bd.drop = union(t, drops)
+		drops = drops[:0]
+		for _, sm := range bd.sums {
+			all = append(all, sm.guard)
+		}
+		all = append(all, bd.drop)
+	}
+	for k, r := range rules {
+		if r.Match.InPort != 0 && !hasPort(c.Ports, r.Match.InPort) {
+			continue // no packet arrives on that port
+		}
+		m, hit := cl.claim(s, k)
+		if hit == bdd.False {
+			continue // the shared rules above cover it, on every port
+		}
 		b, allowed := target(r)
+		if r.Match.InPort != 0 {
+			closeBand()
+			sc.bands = append(sc.bands, band{inPort: r.Match.InPort, match: m, hit: hit, b: b, allowed: allowed})
+			continue
+		}
 		if b < 0 {
-			bd.drop = t.Or(bd.drop, hit)
+			drops = append(drops, hit)
 			continue
 		}
-		bd.drop = t.Or(bd.drop, t.Diff(hit, allowed))
-		pass := t.And(hit, allowed)
-		if pass == bdd.False {
-			continue
+		if d := t.Diff(hit, allowed); d != bdd.False {
+			drops = append(drops, d)
 		}
-		bd.passes = append(bd.passes, bucketGuard{b, pass})
-		merged := false
-		for i := range bd.sums {
-			if bd.sums[i].b == b {
-				bd.sums[i].guard = t.Or(bd.sums[i].guard, pass)
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			bd.sums = append(bd.sums, bucketGuard{b, pass})
+		if pass := t.And(hit, allowed); pass != bdd.False {
+			bd := &sc.bands[len(sc.bands)-1]
+			bd.passes = append(bd.passes, bucketGuard{b, pass})
 		}
 	}
+	closeBand()
+	// The bands' guards and drops split the shared claims, whose union is
+	// the union of the shared matches.
+	sc.remaining = t.Not(union(t, all))
 	return sc
+}
+
+// sumPasses returns, per bucket in first-contribution order, the union of
+// the passes into it.
+func sumPasses(t *bdd.Table, passes []bucketGuard) []bucketGuard {
+	var sums []bucketGuard
+	var parts [][]bdd.Ref // parts[i]: the passes into sums[i].b
+	for _, p := range passes {
+		i := 0
+		for i < len(sums) && sums[i].b != p.b {
+			i++
+		}
+		if i == len(sums) {
+			sums = append(sums, bucketGuard{b: p.b})
+			parts = append(parts, nil)
+		}
+		parts[i] = append(parts[i], p.guard)
+	}
+	for i := range sums {
+		sums[i].guard = union(t, parts[i])
+	}
+	return sums
+}
+
+// union returns the disjunction of refs, combined pairwise as a balanced
+// tree: a running Or would path-copy the growing result once per operand.
+// It overwrites refs.
+func union(t *bdd.Table, refs []bdd.Ref) bdd.Ref {
+	if len(refs) == 0 {
+		return bdd.False
+	}
+	for n := len(refs); n > 1; n = (n + 1) / 2 {
+		for i := 0; i < n/2; i++ {
+			refs[i] = t.Or(refs[2*i], refs[2*i+1])
+		}
+		if n%2 == 1 {
+			refs[n/2] = refs[n-1]
+		}
+	}
+	return refs[0]
 }
 
 // fold specializes the scan to packets arriving on x. It walks the bands
 // in order, keeping X, the union of the port-x rule matches seen so far:
-// a port-x rule claims rem ∧ match ∧ ¬X, a band's shared guards and drops
+// a port-x rule claims its band claim ∧ ¬X, a band's shared guards and drops
 // join as guard ∧ ¬X, and the unmatched set is remaining ∧ ¬X. It returns
 // the forwarding buckets, in the order a scan of port x alone would first
 // reach them, and the drop guard, all without the in-ACL term.

@@ -118,28 +118,23 @@ func (s *Space) None() bdd.Ref { return bdd.False }
 // fieldEq builds the predicate "field == value" for a field of width bits
 // starting at offset.
 func (s *Space) fieldEq(offset, bits int, value uint32) bdd.Ref {
-	vars := make([]int, bits)
-	values := make([]bool, bits)
-	for i := 0; i < bits; i++ {
-		vars[i] = offset + i
-		values[i] = value>>(bits-1-i)&1 == 1
-	}
-	return s.T.Cube(vars, values)
+	return s.fieldPrefix(offset, bits, value, bits)
 }
 
 // fieldPrefix builds the predicate "top plen bits of field == top plen bits
-// of value".
+// of value". The cube's literals live on the stack: path-table construction
+// builds one prefix per rule and per ACL entry.
 func (s *Space) fieldPrefix(offset, bits int, value uint32, plen int) bdd.Ref {
 	if plen < 0 || plen > bits {
 		panic(fmt.Sprintf("header: prefix length %d out of range [0,%d]", plen, bits))
 	}
-	vars := make([]int, plen)
-	values := make([]bool, plen)
+	var vars [32]int
+	var values [32]bool
 	for i := 0; i < plen; i++ {
 		vars[i] = offset + i
 		values[i] = value>>(bits-1-i)&1 == 1
 	}
-	return s.T.Cube(vars, values)
+	return s.T.Cube(vars[:plen], values[:plen])
 }
 
 // fieldRange builds the predicate lo <= field <= hi by recursive interval

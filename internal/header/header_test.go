@@ -127,6 +127,25 @@ func TestPrefixNesting(t *testing.T) {
 	}
 }
 
+// TestFieldPredicatesAllocFree pins that prefix and exact-field cubes
+// build their literals on the stack: construction makes one per rule
+// match, so a heap slice each would be two allocations per rule.
+func TestFieldPredicatesAllocFree(t *testing.T) {
+	s := NewSpace()
+	dst := MustParseIP("10.1.2.0")
+	allocs := testing.AllocsPerRun(100, func() {
+		s.DstIPPrefix(dst, 24)
+		s.SrcIPPrefix(dst, 0)
+		s.DstIPEq(dst)
+		s.ProtoEq(ProtoTCP)
+		s.SrcPortEq(1234)
+		s.DstPortEq(80)
+	})
+	if allocs != 0 {
+		t.Fatalf("field predicates allocate %.1f times per call set, want 0", allocs)
+	}
+}
+
 func TestPortRange(t *testing.T) {
 	s := NewSpace()
 	r := s.DstPortRange(1000, 2000)
