@@ -24,7 +24,7 @@ BENCH ?= .
 BENCHTIME ?= 200ms
 BENCHCOUNT ?= 6
 
-.PHONY: build test vet fmt lint race fuzz check bench bench-smoke storm storm-smoke
+.PHONY: build test vet fmt lint race fuzz check bench bench-compare bench-smoke storm storm-smoke
 
 build:
 	$(GO) build ./...
@@ -72,13 +72,21 @@ storm-smoke:
 		$(GO) run ./cmd/veridp-storm -topo $$topo -steps 200 -seed $(STORM_SEED); \
 	done
 
-# Benchmark run: plain `go test -bench` text (feed BENCH.txt pairs to
-# benchstat for before/after comparisons) plus a JSON rendering committed
-# as the tracked baseline.
+# Benchmark run: plain `go test -bench` text (compare BENCH.txt pairs with
+# `make bench-compare`) plus a JSON rendering committed as the tracked
+# baseline.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) $(BENCH_PKGS) | tee BENCH.txt
 	$(GO) run ./cmd/bench2json < BENCH.txt > BENCH_baseline.json
 	@echo "wrote BENCH.txt and BENCH_baseline.json"
+
+# Before/after comparison of two `go test -bench` text files (say, BENCH.txt
+# from `make bench` on each side): per benchmark and metric, the median
+# and interquartile range of each side's runs and the median's change.
+#   make bench-compare OLD=old.txt NEW=new.txt
+bench-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.txt NEW=new.txt"; exit 2; }
+	$(GO) run ./cmd/bench2json -compare $(OLD) $(NEW)
 
 # One iteration per benchmark: proves every benchmark still compiles and
 # runs. CI uses this non-gating; it says nothing about performance.

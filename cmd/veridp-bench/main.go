@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"time"
 
@@ -83,7 +84,7 @@ func scales() (sim.StanfordScale, sim.Internet2Scale) {
 func table2() error {
 	st, i2 := scales()
 	fmt.Println("== Table 2: path table statistics ==")
-	fmt.Printf("%-12s %10s %10s %16s %12s\n", "Setup", "# entries", "# paths", "avg. path len.", "time")
+	fmt.Printf("%-12s %10s %10s %16s %12s %10s\n", "Setup", "# entries", "# paths", "avg. path len.", "time", "alloc MB")
 	type build struct {
 		name string
 		mk   func() (*sim.Env, error)
@@ -99,11 +100,15 @@ func table2() error {
 		if err != nil {
 			return err
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		start := time.Now()
 		pt := e.Build()
 		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
 		s := pt.Stats()
-		fmt.Printf("%-12s %10d %10d %16.2f %12s\n", b.name, s.Pairs, s.Paths, s.AvgPathLength, elapsed.Round(time.Millisecond))
+		fmt.Printf("%-12s %10d %10d %16.2f %12s %10.2f\n", b.name, s.Pairs, s.Paths, s.AvgPathLength,
+			elapsed.Round(time.Millisecond), float64(after.TotalAlloc-before.TotalAlloc)/1e6)
 	}
 	fmt.Println()
 	return nil

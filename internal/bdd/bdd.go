@@ -66,7 +66,11 @@ const (
 // node count, exactly the design of classic BDD packages (BuDDy, CUDD).
 // The binary-op cache has one slot per unique-table bucket and the
 // complement cache a quarter of that: a built table keeps its caches
-// alive, so they are sized to the work, not oversized up front.
+// alive, so they are sized to the work, not oversized up front. Node
+// storage grows with the unique table too: each doubling reserves room
+// for every node the new table holds before its next doubling (75% of
+// its buckets), so appends never copy the array between doublings, and
+// Trim drops the unused reserve once a bulk build is done.
 const (
 	initialBuckets  = 1 << 10
 	initialOpCache  = 1 << 10
@@ -103,7 +107,7 @@ func New(numVars int) *Table {
 		panic(fmt.Sprintf("bdd: invalid variable count %d", numVars))
 	}
 	t := &Table{
-		nodes:   make([]node, 2, 1024),
+		nodes:   make([]node, 2, nodeReserve(initialBuckets)),
 		buckets: make([]int32, initialBuckets),
 		opKeys:  make([]uint64, initialOpCache),
 		opVals:  make([]Ref, initialOpCache),
@@ -184,11 +188,22 @@ func (t *Table) mk(level int32, lo, hi Ref) Ref {
 	return r
 }
 
+// nodeReserve is the node capacity that lasts until a unique table of
+// the given size next doubles: mk grows it past 75% load, and the False
+// terminal never occupies a bucket.
+func nodeReserve(buckets int) int { return buckets/4*3 + 1 }
+
 // growUnique doubles the unique table and rehashes every interior node (a
-// plain scan: node order is insertion order). The computed caches double in
-// step, up to maxCacheSize; being lossy they are simply reallocated empty.
+// plain scan: node order is insertion order). The node array moves to a
+// new one with the doubled table's reserve, so no append copies it until
+// the next doubling; Views keep the old array, whose nodes never change.
+// The computed caches double in step, up to maxCacheSize; being lossy
+// they are simply reallocated empty.
 func (t *Table) growUnique() {
 	nb := make([]int32, len(t.buckets)*2)
+	if r := nodeReserve(len(nb)); cap(t.nodes) < r {
+		t.nodes = append(make([]node, 0, r), t.nodes...)
+	}
 	mask := uint64(len(nb) - 1)
 	for i := 2; i < len(t.nodes); i++ {
 		n := &t.nodes[i]
@@ -617,12 +632,26 @@ func (t *Table) Eval(f Ref, assignment []byte) bool {
 // ClearCaches drops the operation memo tables (but not the hash-cons table,
 // which canonicity requires). The direct-mapped arrays are zeroed in place,
 // so this frees no memory: their size follows the unique table (1:1 for
-// binary ops, 1:4 for complements) up to maxCacheSize.
+// binary ops, 1:4 for complements) up to maxCacheSize. The node array's
+// unused reserve is Trim's to release.
 func (t *Table) ClearCaches() {
 	clear(t.opKeys)
 	clear(t.opVals)
 	clear(t.notKeys)
 	clear(t.notVals)
+}
+
+// Trim moves the node array to one of its exact length, releasing the
+// reserve growUnique made for nodes not yet created. A bulk build calls it
+// when done: a built table mostly stops growing, and the reserve can be up
+// to half the capacity. Views keep the old array, whose nodes never change;
+// the next node created grows the array again. A reserve of an eighth of
+// the nodes or less is kept: that is within what the allocator rounds an
+// exact-length array up to, so trimming a trimmed table copies nothing.
+func (t *Table) Trim() {
+	if cap(t.nodes)-len(t.nodes) > len(t.nodes)/8 {
+		t.nodes = append(make([]node, 0, len(t.nodes)), t.nodes...)
+	}
 }
 
 // View is an immutable snapshot of the table's node storage: every node that

@@ -23,7 +23,8 @@ type Builder struct {
 	Configs map[topo.SwitchID]*flowtable.SwitchConfig
 }
 
-// Build runs Algorithm 2 from every edge port.
+// Build runs Algorithm 2 from every edge port, then trims the BDD node
+// array to the nodes the table holds.
 func (b *Builder) Build() *PathTable {
 	pt := &PathTable{
 		Net:          b.Net,
@@ -43,6 +44,7 @@ func (b *Builder) Build() *PathTable {
 		visited := map[topo.PortKey]bool{inport: true}
 		pt.traverse(inport, inport, b.Space.All(), nil, 0, visited)
 	}
+	b.Space.T.Trim()
 	return pt
 }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"veridp/internal/bloom"
@@ -42,5 +43,32 @@ func TestStanfordBuildNodeBudget(t *testing.T) {
 	b.Build()
 	if n := s.T.Size(); n >= 80000 {
 		t.Fatalf("building StanfordDefault made %d BDD nodes, want < 80000", n)
+	}
+}
+
+// TestStanfordBuildAllocBudget pins the bytes a cold StanfordDefault
+// build allocates (a fresh Space, as veridp.NewMonitor and every proxy
+// rebuild start from). About 6.1 MB now; 8.7 MB before prefix cubes were
+// memoized, the destination index lost its map and node storage stopped
+// growing by append. Staying under 7 MB keeps a monitor's set-up beside
+// its live inputs from crossing the GC trigger. The least of three builds
+// counts, so an allocation elsewhere in the process cannot fail it.
+func TestStanfordBuildAllocBudget(t *testing.T) {
+	e, err := sim.StanfordEnv(sim.StanfordDefault, bloom.DefaultParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := e.Ctrl.Logical()
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		(&core.Builder{Net: e.Net, Space: header.NewSpace(), Params: e.Params, Configs: configs}).Build()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("building StanfordDefault allocated %.2f MB", float64(least)/1e6)
+	if least >= 7e6 {
+		t.Fatalf("building StanfordDefault allocated %.2f MB, want < 7 MB", float64(least)/1e6)
 	}
 }

@@ -5,6 +5,8 @@
 package flowtable
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"veridp/internal/bdd"
@@ -89,20 +91,25 @@ func within(hasA, hasB, equal bool) bool { return !hasA || hasB && equal }
 
 // dstIndex finds the shared rules whose destination prefix nests with a
 // query prefix, the only ones that can overlap a rule with that prefix.
-// It stores prefixes canonical.
+// It is one slice of canonical prefixes with their rules' positions,
+// sorted by address, length and position: a prefix's own entries and
+// each ancestor's are one binary search away, and its descendants follow
+// them as one contiguous run.
 type dstIndex struct {
-	at     map[Prefix][]int // prefix → positions of its rules, ascending
-	lens   []int            // the prefix lengths present, ascending
-	sorted []dstEntry       // every entry, by address, then length
+	entries []dstEntry
+	lens    []int // the prefix lengths present, ascending
 }
 
 type dstEntry struct {
-	p   Prefix
+	key uint64 // dstKey of the canonical prefix
 	pos int
 }
 
+// dstKey orders canonical prefixes by address, then length.
+func dstKey(ip uint32, plen int) uint64 { return uint64(ip)<<6 | uint64(plen) }
+
 func newDstIndex(rules []*Rule) dstIndex {
-	ix := dstIndex{at: make(map[Prefix][]int)}
+	ix := dstIndex{entries: make([]dstEntry, 0, len(rules))}
 	var present [33]bool
 	for pos, r := range rules {
 		if r.Match.InPort != 0 {
@@ -110,47 +117,60 @@ func newDstIndex(rules []*Rule) dstIndex {
 		}
 		p := r.Match.DstPrefix.Canonical()
 		present[p.Len] = true
-		ix.at[p] = append(ix.at[p], pos)
-		ix.sorted = append(ix.sorted, dstEntry{p, pos})
+		ix.entries = append(ix.entries, dstEntry{dstKey(p.IP, p.Len), pos})
 	}
 	for l, ok := range present {
 		if ok {
 			ix.lens = append(ix.lens, l)
 		}
 	}
-	sort.Slice(ix.sorted, func(i, j int) bool {
-		a, b := ix.sorted[i].p, ix.sorted[j].p
-		if a.IP != b.IP {
-			return a.IP < b.IP
+	slices.SortFunc(ix.entries, func(a, b dstEntry) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-		return a.Len < b.Len
+		return cmp.Compare(a.pos, b.pos)
 	})
 	return ix
 }
 
+// search returns the index of the first entry whose key is at least key.
+func (ix *dstIndex) search(key uint64) int {
+	lo, hi := 0, len(ix.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ix.entries[m].key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // appendNested appends to dst the positions below k whose prefix nests
-// with p: p's ancestors and p itself, one lookup per length present, then
-// its descendants, which are one contiguous run of the sorted entries.
+// with p: p's ancestors and p itself, one search per length present, then
+// its descendants.
 func (ix *dstIndex) appendNested(dst []int, p Prefix, k int) []int {
 	p = p.Canonical()
 	for _, l := range ix.lens {
 		if l > p.Len {
 			break
 		}
-		for _, pos := range ix.at[Prefix{IP: p.IP, Len: l}.Canonical()] {
-			if pos >= k {
+		key := dstKey(Prefix{IP: p.IP, Len: l}.Canonical().IP, l)
+		for i := ix.search(key); i < len(ix.entries); i++ {
+			e := ix.entries[i]
+			if e.key != key || e.pos >= k {
 				break
 			}
-			dst = append(dst, pos)
+			dst = append(dst, e.pos)
 		}
 	}
-	i := sort.Search(len(ix.sorted), func(i int) bool {
-		e := ix.sorted[i].p
-		return e.IP > p.IP || e.IP == p.IP && e.Len > p.Len
-	})
-	last := p.IP | ^p.mask()
-	for ; i < len(ix.sorted) && ix.sorted[i].p.IP <= last; i++ {
-		if pos := ix.sorted[i].pos; pos < k {
+	// Every entry past p's own with an address inside p is a descendant:
+	// a canonical prefix whose address is past p's has a host bit of p
+	// set, so it is longer.
+	last := dstKey(p.IP|^p.mask(), 32)
+	for i := ix.search(dstKey(p.IP, p.Len+1)); i < len(ix.entries) && ix.entries[i].key <= last; i++ {
+		if pos := ix.entries[i].pos; pos < k {
 			dst = append(dst, pos)
 		}
 	}

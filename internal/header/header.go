@@ -100,8 +100,15 @@ func ParseIP(s string) (uint32, error) {
 // Space wraps a bdd.Table laid out for the 104-bit header space and provides
 // field-level predicate constructors. All VeriDP components that manipulate
 // header sets share one Space.
+//
+// Field prefixes are memoized: path-table construction builds one per rule
+// match, and rule tables repeat a few hundred distinct prefixes thousands
+// of times. The memo is writer-side state, under the same one-writer rule
+// as T.
 type Space struct {
 	T *bdd.Table
+
+	prefixes map[uint64]bdd.Ref // prefixKey → the prefix's cube in T
 }
 
 // NewSpace allocates a fresh header space backed by a new BDD table.
@@ -122,11 +129,16 @@ func (s *Space) fieldEq(offset, bits int, value uint32) bdd.Ref {
 }
 
 // fieldPrefix builds the predicate "top plen bits of field == top plen bits
-// of value". The cube's literals live on the stack: path-table construction
-// builds one prefix per rule and per ACL entry.
+// of value". Path-table construction builds one prefix per rule and per
+// ACL entry, so a prefix already built is returned from the memo, and a
+// new cube's literals live on the stack.
 func (s *Space) fieldPrefix(offset, bits int, value uint32, plen int) bdd.Ref {
 	if plen < 0 || plen > bits {
 		panic(fmt.Sprintf("header: prefix length %d out of range [0,%d]", plen, bits))
+	}
+	key := prefixKey(offset, bits, value, plen)
+	if r, ok := s.prefixes[key]; ok {
+		return r
 	}
 	var vars [32]int
 	var values [32]bool
@@ -134,7 +146,20 @@ func (s *Space) fieldPrefix(offset, bits int, value uint32, plen int) bdd.Ref {
 		vars[i] = offset + i
 		values[i] = value>>(bits-1-i)&1 == 1
 	}
-	return s.T.Cube(vars[:plen], values[:plen])
+	r := s.T.Cube(vars[:plen], values[:plen])
+	if s.prefixes == nil {
+		s.prefixes = make(map[uint64]bdd.Ref)
+	}
+	s.prefixes[key] = r
+	return r
+}
+
+// prefixKey packs the field offset, the prefix length and the plen bits
+// the prefix tests into one memo key: bits of value past plen (host bits)
+// and above the field's width do not take part.
+func prefixKey(offset, bits int, value uint32, plen int) uint64 {
+	top := uint64(value) >> (bits - plen) & (1<<plen - 1)
+	return uint64(offset)<<40 | uint64(plen)<<32 | top
 }
 
 // fieldRange builds the predicate lo <= field <= hi by recursive interval

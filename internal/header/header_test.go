@@ -146,6 +146,71 @@ func TestFieldPredicatesAllocFree(t *testing.T) {
 	}
 }
 
+// TestFieldPrefixMemoMatchesFreshCube draws (field, value, plen) with host
+// bits and bits above the field's width set, plen 0 and full width
+// included, through one Space whose memo fills up. Each result must be
+// the Cube of the prefix's literals built in that table (one Ref, by
+// canonicity), and the one cube a fresh Space builds for it: the same
+// single path of literals.
+func TestFieldPrefixMemoMatchesFreshCube(t *testing.T) {
+	fields := []struct{ offset, bits int }{
+		{SrcIPOffset, SrcIPBits}, {DstIPOffset, DstIPBits}, {ProtoOffset, ProtoBits},
+		{SrcPortOffset, SrcPortBits}, {DstPortOffset, DstPortBits},
+	}
+	path := func(s *Space, r bdd.Ref) []byte {
+		var out []byte
+		n := 0
+		s.T.AllSat(r, func(a []byte) bool {
+			out = append([]byte(nil), a...)
+			n++
+			return true
+		})
+		if n != 1 {
+			t.Fatalf("prefix cube has %d paths, want 1", n)
+		}
+		return out
+	}
+	s := NewSpace()
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 3000; i++ {
+		f := fields[rng.Intn(len(fields))]
+		plen := rng.Intn(f.bits + 1)
+		switch rng.Intn(4) {
+		case 0:
+			plen = 0
+		case 1:
+			plen = f.bits
+		}
+		// Half the prefixes come from a pool of four, so the memo hits
+		// often; then set random host bits and bits above the width.
+		width := uint32(1<<f.bits - 1)
+		value := rng.Uint32() & width
+		if rng.Intn(2) == 0 {
+			value = uint32(rng.Intn(4)) << (f.bits - 2)
+		}
+		value |= rng.Uint32() & (width >> plen)
+		value |= rng.Uint32() &^ width
+		got := s.fieldPrefix(f.offset, f.bits, value, plen)
+
+		var vars []int
+		var values []bool
+		for b := 0; b < plen; b++ {
+			vars = append(vars, f.offset+b)
+			values = append(values, value&(1<<(f.bits-1-b)) != 0)
+		}
+		if want := s.T.Cube(vars, values); got != want {
+			t.Fatalf("field@%d value %#x /%d: memo gave ref %d, Cube %d", f.offset, value, plen, got, want)
+		}
+		if i%10 == 0 {
+			fresh := NewSpace()
+			want := fresh.T.Cube(vars, values)
+			if string(path(s, got)) != string(path(fresh, want)) {
+				t.Fatalf("field@%d value %#x /%d: memo cube differs from a fresh Space's", f.offset, value, plen)
+			}
+		}
+	}
+}
+
 func TestPortRange(t *testing.T) {
 	s := NewSpace()
 	r := s.DstPortRange(1000, 2000)

@@ -348,7 +348,7 @@ func translateChain(cs dlCallSite, root dlRoot, paramIdx int, rest string) (dlCh
 	default:
 		return dlChain{}, false
 	}
-	baseChain := exprChain(base)
+	baseChain := dlExprChain(base)
 	if baseChain == "" {
 		return dlChain{}, false
 	}
@@ -360,6 +360,39 @@ func translateChain(cs dlCallSite, root dlRoot, paramIdx int, rest string) (dlCh
 	return dlChain{chain: chain, root: callerRoot, paramIdx: callerIdx}, true
 }
 
+// dlExprChain is exprChain extended to index expressions, rendered as a
+// "[]" segment whatever the index: a connection reached through an
+// element, c.workers[i].conn, is armed and needed on the one chain
+// c.workers.[].conn. Without it a helper's need on its parameter could not
+// translate across a call passing &c.workers[i], and the call site was
+// trusted.
+func dlExprChain(e ast.Expr) string {
+	seg := ""
+	switch v := e.(type) {
+	case *ast.Ident:
+		return v.Name
+	case *ast.SelectorExpr:
+		e, seg = v.X, v.Sel.Name
+	case *ast.IndexExpr:
+		e, seg = v.X, "[]"
+	case *ast.ParenExpr:
+		return dlExprChain(v.X)
+	case *ast.StarExpr:
+		return dlExprChain(v.X)
+	case *ast.UnaryExpr:
+		if v.Op != token.AND {
+			return ""
+		}
+		return dlExprChain(v.X)
+	default:
+		return ""
+	}
+	if base := dlExprChain(e); base != "" {
+		return base + "." + seg
+	}
+	return ""
+}
+
 // chainRoot classifies the root of a caller-side expression against the
 // caller's own receiver and parameters.
 func chainRoot(fn *FuncNode, e ast.Expr) (dlRoot, int) {
@@ -369,6 +402,9 @@ func chainRoot(fn *FuncNode, e ast.Expr) (dlRoot, int) {
 			e = v.X
 			continue
 		case *ast.StarExpr:
+			e = v.X
+			continue
+		case *ast.IndexExpr:
 			e = v.X
 			continue
 		case *ast.UnaryExpr:
@@ -681,7 +717,7 @@ func (w *dlWalker) handleCall(call *ast.CallExpr) {
 		recvT := typeOf(pkg, sel.X)
 		if recvT != nil && isNetConnType(recvT) {
 			if kind := dlArmMethod(sel.Sel.Name); kind != 0 {
-				if chain := exprChain(sel.X); chain != "" {
+				if chain := dlExprChain(sel.X); chain != "" {
 					w.armed[chain] |= kind
 				}
 				return
@@ -739,7 +775,7 @@ func (w *dlWalker) ioArgSink(call *ast.CallExpr, i int, kind dlKind, op string) 
 
 // sink records one I/O operation on conn expression e needing kind.
 func (w *dlWalker) sink(pos token.Pos, e ast.Expr, kind dlKind, op string) {
-	chain := exprChain(e)
+	chain := dlExprChain(e)
 	if chain == "" {
 		return // provenance unknown — the chain cannot be armed or matched
 	}

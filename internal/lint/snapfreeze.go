@@ -20,10 +20,12 @@
 //     composite literal / new / a constructor that only returns fresh
 //     values, and not yet passed away or published.
 //   - `// append-only` — a slice field that may grow (`x.f = append(x.f,
-//     ...)`) but whose existing elements are immutable: in-place element
-//     writes, non-append reassignment, copy-into, and delete are flagged
-//     (again, except on fresh values — bdd.New seeding the terminal nodes
-//     of a table it just allocated is construction, not mutation).
+//     ...)`) or move to a fresh array holding all of it (`x.f =
+//     append(make(T, 0, n), x.f...)`; readers keep the old array), but
+//     whose existing elements are immutable: in-place element writes,
+//     other reassignment, copy-into, and delete are flagged (again, except
+//     on fresh values — bdd.New seeding the terminal nodes of a table it
+//     just allocated is construction, not mutation).
 //
 // Completeness: every field of a type that is published anywhere in the
 // program must carry one of the two annotations. Deleting an annotation
@@ -678,8 +680,9 @@ func (w *sfWalker) checkWrite(lhs ast.Expr, pos token.Pos, rhs ast.Expr, tok tok
 	}
 	field := ann.owner + "." + ann.sel.Sel.Name
 	if ann.mode == modeAppendOnly {
-		if ann.whole && tok == token.ASSIGN && rhs != nil && isSelfAppend(w.node.Pkg, ann.sel, rhs) {
-			return // x.f = append(x.f, ...) is the one permitted growth
+		if ann.whole && tok == token.ASSIGN && rhs != nil &&
+			(isSelfAppend(w.node.Pkg, ann.sel, rhs) || isRelocation(w.node.Pkg, ann.sel, rhs)) {
+			return // growth, or a move that keeps every element at its index
 		}
 		if ann.whole {
 			w.st.pass.Reportf(pos,
@@ -699,16 +702,38 @@ func (w *sfWalker) checkWrite(lhs ast.Expr, pos token.Pos, rhs ast.Expr, tok tok
 // field chain f that is being assigned.
 func isSelfAppend(pkg *Package, sel *ast.SelectorExpr, rhs ast.Expr) bool {
 	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" {
-		return false
-	}
-	if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
+	if !ok || len(call.Args) == 0 || !isBuiltinCall(pkg, call, "append") {
 		return false
 	}
 	want := exprChain(sel)
 	return want != "" && exprChain(call.Args[0]) == want
+}
+
+// isRelocation reports whether rhs is append(make(T, 0, ...), f...): the
+// field chain f copied whole, each element at its old index, into an
+// array nothing else holds.
+func isRelocation(pkg *Package, sel *ast.SelectorExpr, rhs ast.Expr) bool {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok || len(call.Args) != 2 || !call.Ellipsis.IsValid() || !isBuiltinCall(pkg, call, "append") {
+		return false
+	}
+	mk, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr)
+	if !ok || len(mk.Args) < 2 || !isBuiltinCall(pkg, mk, "make") {
+		return false
+	}
+	if n := pkg.Info.Types[mk.Args[1]].Value; n == nil || n.String() != "0" {
+		return false // a non-empty start would shift every element
+	}
+	want := exprChain(sel)
+	return want != "" && exprChain(call.Args[1]) == want
+}
+
+// isBuiltinCall reports whether call calls the named builtin.
+func isBuiltinCall(pkg *Package, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, isBuiltin := pkg.Info.Uses[id].(*types.Builtin)
+	return isBuiltin
 }

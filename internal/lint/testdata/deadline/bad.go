@@ -1,6 +1,7 @@
 // Known-bad corpus for the deadline checker: an unarmed write on a
 // fresh conn, an arm of the wrong kind, an arm on only one branch, and
-// a helper whose caller never arms the conn it passes in.
+// a helper whose caller never arms the conn it passes in, directly or as
+// a field of a slice element.
 
 package deadline
 
@@ -65,4 +66,32 @@ func relay(addr string) error {
 	}
 	defer c.Close()
 	return pushUpstream(c)
+}
+
+// A worker's connection lives in a slice of workers; the helper reads
+// through its parameter's field, and the caller hands it &ws[i] without
+// arming ws[i].conn.
+type worker struct{ conn net.Conn }
+
+func drain(w *worker) error {
+	buf := make([]byte, 64)
+	_, err := w.conn.Read(buf) // want "reaches a caller"
+	return err
+}
+
+func drainAll(addrs []string) error {
+	ws := make([]worker, len(addrs))
+	for i, a := range addrs {
+		c, err := net.Dial("tcp", a)
+		if err != nil {
+			return err
+		}
+		ws[i].conn = c
+	}
+	for i := range ws {
+		if err := drain(&ws[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

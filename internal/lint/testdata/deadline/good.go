@@ -1,7 +1,8 @@
 // Known-good corpus for the deadline checker: arms that dominate the
 // op on every path, a SetDeadline covering both kinds, a caller that
-// arms before handing the conn down, and an annotated unit whose
-// governance is documented rather than syntactic.
+// arms before handing the conn down (directly or as a field of a slice
+// element), and an annotated unit whose governance is documented rather
+// than syntactic.
 
 package deadline
 
@@ -88,4 +89,32 @@ func probe(addr string) error {
 	}
 	defer c.Close()
 	return annotatedProbe(c)
+}
+
+// The slice-element form: the caller arms ws[i].conn before handing &ws[i]
+// to a helper that reads through its parameter's field.
+type reader struct{ conn net.Conn }
+
+func drainArmed(w *reader) error {
+	buf := make([]byte, 64)
+	_, err := w.conn.Read(buf)
+	return err
+}
+
+func drainAllArmed(addrs []string) error {
+	ws := make([]reader, len(addrs))
+	for i, a := range addrs {
+		c, err := net.Dial("tcp", a)
+		if err != nil {
+			return err
+		}
+		ws[i].conn = c
+	}
+	for i := range ws {
+		ws[i].conn.SetReadDeadline(time.Now().Add(time.Second))
+		if err := drainArmed(&ws[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -47,6 +47,17 @@ func replaceArena(s *state) {
 	s.arena = nil // want "may only grow"
 }
 
+// shiftArena moves the slice to a fresh array but starts it non-empty,
+// so every element lands at a new index.
+func shiftArena(s *state) {
+	s.arena = append(make([]uint32, 1, 2*len(s.arena)), s.arena...) // want "may only grow"
+}
+
+// dropFirst moves the slice to a fresh array without its first element.
+func dropFirst(s *state) {
+	s.arena = append(make([]uint32, 0, len(s.arena)), s.arena[1:]...) // want "may only grow"
+}
+
 // copyInto mutates append-only elements through the copy builtin.
 func copyInto(s *state, src []uint32) {
 	copy(s.arena, src) // want "append-only"

@@ -54,6 +54,12 @@ func grow(s *snap) {
 	s.nodes = append(s.nodes, 9)
 }
 
+// reserve moves the slice to a fresh, larger array holding every element
+// at its old index: readers holding the old array still see it intact.
+func reserve(s *snap) {
+	s.nodes = append(make([]uint32, 0, 2*cap(s.nodes)), s.nodes...)
+}
+
 // read-only uses of frozen state are always fine.
 func observe(s *snap) (uint64, int) {
 	return s.epoch, len(s.nodes)
